@@ -19,32 +19,39 @@ it on every push.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import pathlib
 
+from repro.engine import Simulation, SimulationConfig
+from repro.engine.multikey import MultiKeySimulation
 from repro.experiments import get_experiment
+from repro.workload.sessions import SessionPlan
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
 
+def clean(value):
+    """JSON-ready ``value`` with every float pinned to its exact bits."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        # Full precision: the golden pins bit-identical floats.
+        return float.hex(value)
+    if isinstance(value, dict):
+        return {str(k): clean(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [clean(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return clean(dataclasses.asdict(value))
+    return value
+
+
 def canonical(result) -> str:
     """Stable JSON text of an ExperimentResult's observable output."""
-
-    def clean(value):
-        if isinstance(value, float):
-            if math.isnan(value):
-                return "NaN"
-            if math.isinf(value):
-                return "Infinity" if value > 0 else "-Infinity"
-            # Full precision: the golden pins bit-identical floats.
-            return float.hex(value)
-        if isinstance(value, dict):
-            return {str(k): clean(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [clean(v) for v in value]
-        return value
-
     record = {
         "experiment_id": result.experiment_id,
         "title": result.title,
@@ -57,9 +64,22 @@ def canonical(result) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def check_golden(result, name: str, update: bool) -> None:
+def canonical_run(result) -> str:
+    """Stable JSON text of one SimulationResult's simulated statistics.
+
+    The config (the input) and the host wall time are left out.
+    """
+    record = {
+        field.name: clean(getattr(result, field.name))
+        for field in dataclasses.fields(result)
+        if field.name not in ("config", "wall_seconds")
+    }
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def check_golden(result, name: str, update: bool, render=canonical) -> None:
     path = GOLDEN_DIR / f"{name}.json"
-    text = canonical(result)
+    text = render(result)
     if update or not path.exists():
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(text, encoding="utf-8")
@@ -124,3 +144,39 @@ class TestGoldens:
             scale="smoke", replications=1, seed=1
         )
         check_golden(result, "scale_smoke", update_goldens)
+
+    def test_figure8_smoke_matches_golden(self, update_goldens):
+        # Pareto inter-arrival gaps: the arrival branch figure4 leaves
+        # unpinned.
+        result = get_experiment("figure8")(
+            scale="smoke", replications=1, seed=1, rates=(1.0, 10.0)
+        )
+        check_golden(result, "figure8_smoke", update_goldens)
+
+    def test_diurnal_run_matches_golden(self, update_goldens):
+        # Session-driven diurnal modulation of the arrival gaps.
+        config = SimulationConfig(
+            scheme="dup",
+            num_nodes=128,
+            query_rate=2.0,
+            duration=4 * 3600.0,
+            warmup=1800.0,
+            seed=5,
+            sessions=SessionPlan(diurnal_amplitude=0.6, diurnal_period=3600.0),
+        )
+        result = Simulation(config).run()
+        check_golden(result, "diurnal_run", update_goldens, canonical_run)
+
+    def test_multikey_run_matches_golden(self, update_goldens):
+        # The unsharded multi-key engine's own query loop.
+        config = SimulationConfig(
+            scheme="dup",
+            topology="chord",
+            num_nodes=96,
+            query_rate=4.0,
+            duration=4 * 3600.0,
+            warmup=3600.0,
+            seed=8,
+        )
+        result = MultiKeySimulation(config, num_keys=6).run()
+        check_golden(result, "multikey_run", update_goldens, canonical_run)
