@@ -43,7 +43,7 @@ from repro.net.transport import Transport
 from repro.schemes.registry import make_scheme
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
-from repro.stats.distributions import Exponential, shared_zipf
+from repro.stats.distributions import Exponential, rank_draws, shared_zipf
 from repro.topology.chord import ChordRing
 from repro.topology.chord_tree import LazyChordTree, chord_search_tree
 from repro.workload.arrivals import make_arrival_process
@@ -293,7 +293,7 @@ class MultiKeySimulation:
         scheme.on_message(destination, message)
 
     # -- workload ------------------------------------------------------------
-    def _query_loop(self):
+    def _query_loop(self) -> None:
         config = self.config
         arrivals = make_arrival_process(
             config.arrival,
@@ -301,18 +301,14 @@ class MultiKeySimulation:
             self.streams.get("arrivals"),
             config.pareto_alpha,
         )
-        key_rng = self.streams.get("key-draws")
-        node_rng = self.streams.get("placement-draws")
-        while True:
-            yield self.env.timeout(arrivals.next_gap())
-            key = self._key_order[self._key_selector.sample(key_rng)]
-            node = self._node_selector.sample(node_rng)
-            slice_ = self.slices[key]
-            if node == slice_.tree.root:
-                # The authority answers its own queries locally.
-                self.record_latency(key, 0, self.env.now)
-                continue
-            self.schemes[key].on_local_query(node)
+        keys = map(
+            self._key_order.__getitem__,
+            rank_draws(self._key_selector, self.streams.get("key-draws")),
+        )
+        origins = self._node_selector.draws(
+            self.streams.get("placement-draws")
+        )
+        _start_query_records(self, arrivals.next_gap, keys, origins)
 
     # -- running ----------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -331,7 +327,7 @@ class MultiKeySimulation:
                 on_new_version=scheme.on_new_version,
                 value=f"host-of-{slice_.key}",
             )
-        self.env.process(self._query_loop(), name="multikey-workload")
+        self._query_loop()
         self.env.run(until=self.config.duration)
         wall = time.perf_counter() - started
 
@@ -577,7 +573,7 @@ class MultiKeyScaleSimulation:
         scheme.on_message(destination, message)
 
     # -- processes -----------------------------------------------------------
-    def _query_loop(self):
+    def _query_loop(self) -> None:
         config = self.config
         # Thinning: a Poisson stream marked by an independent key draw
         # splits into independent Poisson streams per mark subset; this
@@ -589,17 +585,12 @@ class MultiKeyScaleSimulation:
             self._stream("arrivals"),
             config.pareto_alpha,
         )
-        key_rng = self._stream("key-draws")
-        node_rng = self._stream("placement-draws")
-        while True:
-            yield self.env.timeout(arrivals.next_gap())
-            key = self._keys[self._key_slice.sample(key_rng)]
-            node = self._node_selector.sample(node_rng)
-            slice_ = self.slices[key]
-            if node == slice_.tree.root:
-                self.record_latency(key, 0, self.env.now)
-                continue
-            self.schemes[key].on_local_query(node)
+        keys = map(
+            self._keys.__getitem__,
+            rank_draws(self._key_slice, self._stream("key-draws")),
+        )
+        origins = self._node_selector.draws(self._stream("placement-draws"))
+        _start_query_records(self, arrivals.next_gap, keys, origins)
 
     def _sweep_loop(self):
         """Vectorized TTL reclamation: one flatnonzero pass per period."""
@@ -634,7 +625,7 @@ class MultiKeyScaleSimulation:
                 on_new_version=scheme.on_new_version,
                 value=f"host-of-{slice_.key}",
             )
-        self.env.process(self._query_loop(), name="scale-workload")
+        self._query_loop()
         self.env.process(self._sweep_loop(), name="scale-sweeper")
         self.env.run(until=self.config.duration)
         wall = time.perf_counter() - started
@@ -690,6 +681,34 @@ class MultiKeyScaleSimulation:
             wall_seconds=wall,
             extras=extras,
         )
+
+
+def _start_query_records(sim, next_gap, keys, origins) -> None:
+    """Start a multi-key query workload as one self-rescheduling record.
+
+    Each ``tick`` draws a key and an origin, issues the query (the key's
+    authority answers its own queries locally) and defers the next tick
+    by one arrival gap: no process or timeout per query.  The first
+    record takes the URGENT slot a workload process would start in.
+    """
+    env = sim.env
+    defer = env.defer
+    next_key = keys.__next__
+    next_origin = origins.__next__
+    slices = sim.slices
+    schemes = sim.schemes
+    record_latency = sim.record_latency
+
+    def tick() -> None:
+        key = next_key()
+        node = next_origin()
+        if node == slices[key].tree.root:
+            record_latency(key, 0, env._now)
+        else:
+            schemes[key].on_local_query(node)
+        defer(next_gap(), tick)
+
+    env.defer_urgent(lambda: defer(next_gap(), tick))
 
 
 #: Per-process memo of (ring, keys) — both are pure functions of the
@@ -776,7 +795,6 @@ def run_scale(
                 "sweep_interval": sweep_interval,
             },
             scheme=config.scheme,
-            replication=index,
         )
         for index in range(shard_count)
     ]

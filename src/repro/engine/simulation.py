@@ -1035,8 +1035,15 @@ class Simulation:
                 # the ring (latest divergence wins the file).
                 self.recorder.anomaly("auditor-divergence")
 
-    def _query_loop(self):
+    def _query_loop(self) -> None:
+        """Start the query workload: one self-rescheduling defer record.
+
+        Each ``tick`` issues one query and defers the next tick by one
+        arrival gap; no process or timeout per query.  The first record
+        takes the URGENT slot a workload process would start in.
+        """
         config = self.config
+        env = self.env
         arrivals = make_arrival_process(
             config.arrival,
             config.query_rate,
@@ -1059,8 +1066,8 @@ class Simulation:
                 config.root_queries or node != self.tree.root
             )
 
-        # Localised bindings: this loop issues every query in the run.
-        timeout = self.env.timeout
+        # Localised bindings: tick issues every query in the run.
+        defer = env.defer
         next_gap = arrivals.next_gap
         sessions = self.sessions
         if sessions is not None and sessions.plan.diurnal_enabled:
@@ -1069,24 +1076,30 @@ class Simulation:
             # intensity, shorter gaps, identical distribution family.
             base_gap = next_gap
             modulation = sessions.modulation
-            env = self.env
 
             def next_gap() -> float:
                 return base_gap() / modulation(env._now)
 
         on_local_query = self.scheme.on_local_query
         if guarded:
-            while True:
-                yield timeout(next_gap())
-                node = self.selector.sample_alive(draws, eligible_origin)
-                if node is None:
-                    continue
-                on_local_query(node)
+            # sample_alive consumes a variable number of draws per
+            # query, so the guarded origin stays a scalar draw.
+            sample_alive = self.selector.sample_alive
+
+            def tick() -> None:
+                node = sample_alive(draws, eligible_origin)
+                if node is not None:
+                    on_local_query(node)
+                defer(next_gap(), tick)
+
         else:
-            sample = self.selector.sample
-            while True:
-                yield timeout(next_gap())
-                on_local_query(sample(draws))
+            origin = self.selector.draws(draws).__next__
+
+            def tick() -> None:
+                on_local_query(origin())
+                defer(next_gap(), tick)
+
+        env.defer_urgent(lambda: defer(next_gap(), tick))
 
     def _trace_loop(self):
         for event in self._trace:
@@ -1221,7 +1234,7 @@ class Simulation:
         if self._trace is not None:
             self.env.process(self._trace_loop(), name="trace-workload")
         else:
-            self.env.process(self._query_loop(), name="query-workload")
+            self._query_loop()
         if self.config.churn is not None and self.config.churn.enabled:
             self.env.process(self._churn_loop(), name="churn")
         try:

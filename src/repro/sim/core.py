@@ -39,10 +39,11 @@ clock values, and RNG draw order are unchanged):
   environments also accept :meth:`Environment.defer` — fire-and-forget
   work flattened straight into the heap entry (one tuple, no event
   object), skipping the :class:`Timeout`/callback machinery entirely
-  (the transport's delivery hot path uses this).  Batch order is provably
-  identical to the serial pops: entries still live in the one heap, so
-  same-tick events run in exactly the (priority, sequence) order the
-  plain loop would pop them in.
+  (the transport's deliveries and the engines' self-rescheduling
+  query arrivals use this).  Batch order is provably identical to the
+  serial pops: entries still live in the one heap, so same-tick events
+  run in exactly the (priority, sequence) order the plain loop would
+  pop them in.
 """
 
 from __future__ import annotations
@@ -515,6 +516,24 @@ class Environment:
             self._eid += 1
             return
         self.call_later(delay, function, *args)
+
+    def defer_urgent(self, function: Callable, *args) -> None:
+        """:meth:`defer` ``function(*args)`` to now, ahead of NORMAL events.
+
+        The slot a new :class:`Process` takes for its first resume
+        (URGENT, now): a self-rescheduling :meth:`defer` record started
+        here runs where the process it replaces would have started.
+        """
+        if self._batched:
+            heappush(
+                self._queue, (self._now, URGENT, self._eid, function, args)
+            )
+            self._eid += 1
+            return
+        event = Event(self)
+        event.callbacks.append(_Invoke(function, args))
+        event._value = None
+        self._schedule(event, URGENT)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event triggering when any of ``events`` does."""

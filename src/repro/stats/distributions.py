@@ -13,16 +13,41 @@ The paper (Section IV) draws from three distributions:
 Each distribution is a small object holding its parameters; sampling takes
 the :class:`numpy.random.Generator` explicitly so streams stay controlled
 by the caller.
+
+The per-query workload draws are taken in blocks (:func:`block_draws`):
+numpy's block draws equal its successive scalar draws, so a stream that
+one consumer owns can be drawn :data:`BLOCK` values ahead without moving
+a single result.  Arithmetic applied to each drawn value stays scalar
+Python, exactly as the scalar ``sample`` does it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
 from repro.errors import WorkloadError
+
+#: Values drawn per refill of a :func:`block_draws` stream.
+BLOCK = 4096
+
+
+def block_draws(
+    refill: Callable[[np.random.Generator, int], list],
+    rng: np.random.Generator,
+) -> Iterator:
+    """Endless successive draws from ``rng``, taken :data:`BLOCK` at a time.
+
+    ``refill(rng, count)`` returns, as Python scalars, the values that
+    successive scalar ``sample`` calls would return from ``count`` draws
+    (fewer values when a draw is rejected).  Drawing ahead is invisible
+    only if nothing else consumes ``rng``: every block-drawn stream has
+    exactly one owner.
+    """
+    while True:
+        yield from refill(rng, BLOCK)
 
 
 class Distribution(Protocol):
@@ -110,6 +135,10 @@ class Exponential:
         """Draw one exponential variate."""
         return float(rng.exponential(self._mean))
 
+    def sample_many(self, rng: np.random.Generator, count: int) -> list[float]:
+        """``count`` successive :meth:`sample` draws, as Python floats."""
+        return rng.exponential(self._mean, count).tolist()
+
     @property
     def mean(self) -> float:
         """Theoretical mean."""
@@ -165,6 +194,21 @@ class Pareto:
         while u == 0.0:  # pragma: no cover - probability ~0
             u = rng.random()
         return self._k * (u ** (-1.0 / self._alpha) - 1.0)
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> list[float]:
+        """The :meth:`sample` draws that ``count`` uniforms yield.
+
+        A ``u == 0`` is skipped, as :meth:`sample` redraws it.  The power
+        stays a Python float operation: a vectorised numpy pow may differ
+        from it in the last ulp.
+        """
+        k = self._k
+        exponent = -1.0 / self._alpha
+        return [
+            k * (u ** exponent - 1.0)
+            for u in rng.random(count).tolist()
+            if u != 0.0
+        ]
 
     @property
     def alpha(self) -> float:
@@ -338,6 +382,7 @@ class ZipfSlice:
         self._base = parent.cumulative(lo - 1) if lo > 0 else 0.0
         self._mass = parent.cumulative(hi - 1) - self._base
 
+    # No engine caller: kept as scalar reference and perfbench entry point.
     def sample(self, rng: np.random.Generator) -> int:
         """Draw a *global* rank index in ``[lo, hi)``."""
         u = self._base + rng.random() * self._mass
@@ -348,6 +393,15 @@ class ZipfSlice:
         if rank >= self._hi:
             return self._hi - 1
         return rank
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` successive :meth:`sample` draws at once."""
+        base = self._base
+        mass = self._mass
+        # The span mapping stays Python float arithmetic, as in sample().
+        spans = [base + u * mass for u in rng.random(count).tolist()]
+        ranks = self._parent._cdf.searchsorted(spans, side="right")
+        return ranks.clip(self._lo, self._hi - 1)
 
     @property
     def mass(self) -> float:
@@ -373,3 +427,17 @@ class ZipfSlice:
             f"ZipfSlice([{self._lo}, {self._hi}) of {self._parent!r}, "
             f"mass={self._mass:.4f})"
         )
+
+
+def rank_draws(
+    law: ZipfSelector | ZipfSlice, rng: np.random.Generator
+) -> Iterator[int]:
+    """Endless successive ``law.sample(rng)`` ranks, drawn in blocks.
+
+    The iterator owns ``rng``: nothing else may draw from it.
+    """
+
+    def refill(gen: np.random.Generator, count: int) -> list[int]:
+        return law.sample_many(gen, count).tolist()
+
+    return block_draws(refill, rng)

@@ -11,19 +11,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.stats.distributions import Distribution, Exponential, Pareto
+from repro.stats.distributions import Exponential, Pareto, block_draws
 
 
 class ArrivalProcess:
-    """Draws successive inter-arrival gaps from a distribution."""
+    """Draws successive inter-arrival gaps from a distribution.
 
-    def __init__(self, interarrival: Distribution, rng: np.random.Generator):
+    The gaps are drawn in blocks (:func:`block_draws`) and equal the
+    distribution's successive scalar samples, so the process owns
+    ``rng``: nothing else may draw from it.
+    """
+
+    def __init__(
+        self, interarrival: Exponential | Pareto, rng: np.random.Generator
+    ):
         self._interarrival = interarrival
-        self._rng = rng
+        self._gaps = block_draws(interarrival.sample_many, rng)
 
     def next_gap(self) -> float:
         """Time until the next arrival."""
-        return self._interarrival.sample(self._rng)
+        return next(self._gaps)
 
     @property
     def mean_rate(self) -> float:

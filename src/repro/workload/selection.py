@@ -9,12 +9,12 @@ search tree rather than systematically near the root (see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.stats.distributions import shared_zipf
+from repro.stats.distributions import rank_draws, shared_zipf
 
 NodeId = int
 
@@ -54,6 +54,16 @@ class ZipfNodeSelector:
     def sample(self, rng: np.random.Generator) -> NodeId:
         """Draw one query origin."""
         return self._ranked[self._zipf.sample(rng)]
+
+    def draws(self, rng: np.random.Generator) -> Iterator[NodeId]:
+        """Endless successive :meth:`sample` draws from ``rng``, in blocks.
+
+        Ranks are drawn ahead; each maps to its node when it is drawn,
+        so a :meth:`flip_ranks` (which reorders the ranking in place)
+        applies to ranks already buffered.  The iterator owns ``rng``:
+        nothing else may draw from it.
+        """
+        return map(self._ranked.__getitem__, rank_draws(self._zipf, rng))
 
     def sample_alive(
         self,

@@ -191,3 +191,21 @@ class TestScaleEngine:
             MultiKeyScaleSimulation(
                 self._scale_config(), num_keys=4, shard_count=8
             )
+
+
+class TestScaleProgressLabels:
+    def test_shards_carry_the_run_replication_not_their_index(self):
+        from repro.engine.multikey import run_scale
+        from repro.engine.parallel import set_default_progress
+
+        config = multikey_config(num_nodes=48, duration=1200.0, warmup=300.0)
+        lines: list[str] = []
+        previous = set_default_progress(lines.append)
+        try:
+            run_scale(config, num_keys=4, shard_count=4, workers=1)
+        finally:
+            set_default_progress(previous)
+        assert len(lines) == 4
+        for index, line in enumerate(lines):
+            assert f"'shard_index': {index}," in line
+            assert " rep=0 " in line

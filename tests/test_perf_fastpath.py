@@ -112,6 +112,45 @@ class TestBatchedKernel:
             fastpath.set_batched(previous_batched)
             fastpath.set_enabled(previous_fast)
 
+    def test_defer_urgent_runs_in_a_process_start_slot(self):
+        """An urgent record runs ahead of earlier NORMAL work at its
+        tick, as a process's first resume does, in every kernel."""
+
+        def run(fast, batched, start):
+            fastpath.set_enabled(fast)
+            fastpath.set_batched(batched)
+            env = Environment()
+            fired = []
+            env.defer(1.0, fired.append, "later")
+            env.defer(0.0, fired.append, "normal")
+            start(env, fired)
+            env.defer(0.0, fired.append, "after")
+            env.run()
+            return fired, env._eid
+
+        def urgent(env, fired):
+            env.defer_urgent(fired.append, "start")
+
+        def process(env, fired):
+            def body():
+                fired.append("start")
+                yield from ()
+
+            env.process(body())
+
+        previous_fast = fastpath.set_enabled(True)
+        previous_batched = fastpath.set_batched(True)
+        try:
+            expected = ["start", "normal", "after", "later"]
+            for fast, batched in ((True, True), (True, False), (False, False)):
+                fired, events = run(fast, batched, urgent)
+                assert fired == expected
+                assert events == 4
+                assert run(fast, batched, process)[0] == expected
+        finally:
+            fastpath.set_batched(previous_batched)
+            fastpath.set_enabled(previous_fast)
+
     def test_defer_rejects_negative_delay(self):
         previous_fast = fastpath.set_enabled(True)
         previous_batched = fastpath.set_batched(True)

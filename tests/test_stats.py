@@ -283,3 +283,97 @@ class TestZipfSelector:
         selector = ZipfSelector(n, theta)
         total = sum(selector.probability(r) for r in range(n))
         assert total == pytest.approx(1.0)
+
+
+class ScriptedUniforms:
+    """A generator stand-in whose uniforms follow a fixed script."""
+
+    def __init__(self, values):
+        self._values = list(values)
+        self._next = 0
+
+    def random(self, size=None):
+        if size is None:
+            value = self._values[self._next]
+            self._next += 1
+            return value
+        block = self._values[self._next:self._next + size]
+        self._next += size
+        assert len(block) == size, "script exhausted"
+        return np.array(block)
+
+
+class TestBlockDraws:
+    """Block-drawn streams equal their scalar ``sample`` sequences.
+
+    The block is shrunk so every test crosses several refills.
+    """
+
+    DRAWS = 40
+
+    @pytest.fixture(autouse=True)
+    def small_block(self, monkeypatch):
+        from repro.stats import distributions
+
+        monkeypatch.setattr(distributions, "BLOCK", 7)
+
+    def test_exponential_arrivals_equal_scalar_samples(self):
+        from repro.workload.arrivals import ArrivalProcess
+
+        law = Exponential(0.37)
+        arrivals = ArrivalProcess(law, rng(11))
+        scalar = rng(11)
+        assert [arrivals.next_gap() for _ in range(self.DRAWS)] == [
+            law.sample(scalar) for _ in range(self.DRAWS)
+        ]
+
+    def test_pareto_arrivals_equal_scalar_samples_across_zero_draws(self):
+        from repro.workload.arrivals import ArrivalProcess
+
+        uniforms = rng(12).random(80).tolist()
+        # Zeros inside a block, at a block's end and start, and a whole
+        # block of them: the scalar sample redraws each one.
+        for index in (3, 6, 7, 20, 21, 22, 23, 24, 25, 26, 27, 28):
+            uniforms[index] = 0.0
+        law = Pareto(1.05, 0.5)
+        arrivals = ArrivalProcess(law, ScriptedUniforms(uniforms))
+        scalar = ScriptedUniforms(uniforms)
+        assert [arrivals.next_gap() for _ in range(self.DRAWS)] == [
+            law.sample(scalar) for _ in range(self.DRAWS)
+        ]
+
+    def test_zipf_origins_equal_scalar_samples_across_rank_flips(self):
+        from repro.workload.selection import ZipfNodeSelector
+
+        selector = ZipfNodeSelector(list(range(100, 160)), 0.9, rng(13))
+        twin = ZipfNodeSelector(list(range(100, 160)), 0.9, rng(13))
+        origins = selector.draws(rng(14))
+        scalar = rng(14)
+        blocked, expected = [], []
+        for round_ in range(4):
+            blocked += [next(origins) for _ in range(self.DRAWS // 4)]
+            expected += [twin.sample(scalar) for _ in range(self.DRAWS // 4)]
+            # A flash-crowd flip reorders the ranking under ranks that
+            # are already buffered.
+            selector.flip_ranks(rng(round_), count=3)
+            twin.flip_ranks(rng(round_), count=3)
+        assert blocked == expected
+
+    def test_zipf_slice_equals_scalar_samples_at_clamp_edges(self):
+        from repro.stats.distributions import rank_draws
+
+        law = ZipfSelector(64, 0.8).slice(10, 30)
+        uniforms = rng(15).random(80).tolist()
+        # Spans below the slice and at or past its top clamp to its
+        # first and last rank.
+        for index, value in {
+            2: -0.25, 6: 0.0, 9: 1.0, 13: 1.5, 14: 1.0 - 2**-53, 30: -1e-9,
+        }.items():
+            uniforms[index] = value
+        blocked = rank_draws(law, ScriptedUniforms(uniforms))
+        scalar = ScriptedUniforms(uniforms)
+        draws = [next(blocked) for _ in range(self.DRAWS)]
+        assert draws == [law.sample(scalar) for _ in range(self.DRAWS)]
+        assert {draws[2], draws[30]} == {law.lo}
+        assert {draws[9], draws[13]} == {law.hi - 1}
+        assert all(type(rank) is int for rank in draws)
