@@ -26,7 +26,9 @@ Mechanics
 - While the mapping lives, control traffic for ``s`` arriving at ``N``
   routes to ``d``: subscribes/refreshes re-issue the (idempotent)
   delegation, unsubscribes become a :class:`Reclaim`, substitutes re-key
-  the mapping and forward.
+  the mapping and forward.  A re-key onto a subject whose own tree path
+  runs through ``d`` drops the mapping instead: ``d`` then holds the
+  subject as plain path state.
 - When ``N``'s own fanout drains below the cap, it *reabsorbs* delegated
   subjects (smallest id first): the subject re-enters ``N``'s list and
   the delegate receives a :class:`Reclaim`, dissolving the split.
@@ -76,8 +78,8 @@ class DupBalancer:
         The *scheme's* redirect bookkeeping, shared by reference so the
         PR-7 fallback and the split pipeline never disagree about where
         a subject's state lives.
-    alive / is_root:
-        Liveness and authority oracles.
+    alive / is_root / parent:
+        Liveness, authority and search-tree parent oracles.
     send_down:
         ``send_down(sender, target, payload)`` — deliver one control
         payload point-to-point (reliably in the engine, synchronously in
@@ -100,6 +102,7 @@ class DupBalancer:
         redirected: dict[NodeId, set[NodeId]],
         alive: Callable[[NodeId], bool],
         is_root: Callable[[NodeId], bool],
+        parent: Callable[[NodeId], Optional[NodeId]],
         send_down: Callable[[NodeId, NodeId, object], None],
         on_reject: Callable[[NodeId, NodeId], None],
         note_lease: Callable[[NodeId, object], None] = _noop,
@@ -111,6 +114,7 @@ class DupBalancer:
         self._redirected = redirected
         self._alive = alive
         self._is_root = is_root
+        self._parent = parent
         self._send_down = send_down
         self._on_reject = on_reject
         self._note_lease = note_lease
@@ -250,7 +254,14 @@ class DupBalancer:
                 self._unmap(node, payload.old)
                 return False
             delegate = mapping.pop(payload.old)
-            mapping[payload.new] = delegate
+            # A new subject whose own tree path runs through the delegate
+            # needs no mapping: its entry there is plain path state that
+            # its unsubscribe clears on the way up.  A mapping kept past
+            # that unsubscribe would make this node reabsorb the subject.
+            if not self._is_ancestor(delegate, payload.new):
+                mapping[payload.new] = delegate
+            elif not mapping:
+                del self._delegations[node]
             self._send_down(node, delegate, payload)
             return True
         if (
@@ -389,6 +400,15 @@ class DupBalancer:
             node, "dup.split-subscriber", f"subject={subject} delegate={target}"
         )
         self._send_down(node, target, Delegate(subject=subject, delegator=node))
+
+    def _is_ancestor(self, node: NodeId, subject: NodeId) -> bool:
+        """Whether ``node`` lies on ``subject``'s search-tree path upward."""
+        hop = self._parent(subject)
+        while hop is not None:
+            if hop == node:
+                return True
+            hop = self._parent(hop)
+        return False
 
     def _push_reaches(self, src: NodeId, dst: NodeId) -> bool:
         """Whether ``dst`` is reachable from ``src`` over push edges."""

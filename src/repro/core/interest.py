@@ -17,7 +17,6 @@ query rate it observes (ROADMAP item 5; the ``dup-adaptive`` scheme).
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Protocol
 
 from repro.errors import ConfigError
@@ -35,7 +34,54 @@ class InterestPolicy(Protocol):
         ...
 
 
-class WindowInterestPolicy:
+class _ArrivalWindow:
+    """Arrival times inside a trailing window, oldest first.
+
+    There is one window per (node, key) pair, so its resident size
+    matters more than its speed.  The arrivals live in a plain list with
+    a head index instead of a ``deque`` (760 B even when empty):
+    ``_prune`` advances the head past expired arrivals and compacts the
+    list once the head passes half its length, so every arrival is moved
+    a bounded number of times.
+    """
+
+    __slots__ = ("_window", "_arrivals", "_head")
+
+    def __init__(self, window: float):
+        if window <= 0:
+            raise ConfigError(f"window must be positive, got {window}")
+        self._window = float(window)
+        self._arrivals: list[float] = []
+        self._head = 0
+
+    def count(self, now: float) -> int:
+        """Arrivals currently inside the window."""
+        return self._prune(now)
+
+    def _prune(self, now: float) -> int:
+        """Expire arrivals at or before ``now - window``; return the rest."""
+        arrivals = self._arrivals
+        head = self._head
+        end = len(arrivals)
+        horizon = now - self._window
+        if head < end and arrivals[head] <= horizon:
+            head += 1
+            while head < end and arrivals[head] <= horizon:
+                head += 1
+            if head * 2 > end:
+                del arrivals[:head]
+                end -= head
+                head = 0
+            self._head = head
+        return end - head
+
+    @property
+    def window(self) -> float:
+        """The trailing interval length."""
+        return self._window
+
+
+class WindowInterestPolicy(_ArrivalWindow):
     """The paper's sliding-window threshold policy.
 
     Parameters
@@ -47,16 +93,13 @@ class WindowInterestPolicy:
         ``threshold`` queries arrived within the window.
     """
 
-    __slots__ = ("_window", "_threshold", "_arrivals")
+    __slots__ = ("_threshold",)
 
     def __init__(self, window: float, threshold: int):
-        if window <= 0:
-            raise ConfigError(f"window must be positive, got {window}")
+        super().__init__(window)
         if threshold < 0:
             raise ConfigError(f"threshold must be >= 0, got {threshold}")
-        self._window = float(window)
         self._threshold = int(threshold)
-        self._arrivals: deque[float] = deque()
 
     def record(self, now: float) -> None:
         """Register one query arrival."""
@@ -65,24 +108,7 @@ class WindowInterestPolicy:
 
     def is_interested(self, now: float) -> bool:
         """More than ``threshold`` arrivals in ``(now - window, now]``."""
-        self._prune(now)
-        return len(self._arrivals) > self._threshold
-
-    def count(self, now: float) -> int:
-        """Arrivals currently inside the window."""
-        self._prune(now)
-        return len(self._arrivals)
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self._window
-        arrivals = self._arrivals
-        while arrivals and arrivals[0] <= horizon:
-            arrivals.popleft()
-
-    @property
-    def window(self) -> float:
-        """The trailing interval length."""
-        return self._window
+        return self._prune(now) > self._threshold
 
     @property
     def threshold(self) -> int:
@@ -92,7 +118,8 @@ class WindowInterestPolicy:
     def __repr__(self) -> str:
         return (
             f"WindowInterestPolicy(window={self._window}, "
-            f"threshold={self._threshold}, pending={len(self._arrivals)})"
+            f"threshold={self._threshold}, "
+            f"pending={len(self._arrivals) - self._head})"
         )
 
 
@@ -164,7 +191,7 @@ class EwmaInterestPolicy:
         )
 
 
-class AdaptiveInterestPolicy:
+class AdaptiveInterestPolicy(_ArrivalWindow):
     """Sliding-window policy with a self-tuning threshold.
 
     The decision rule is the paper's (more than ``threshold`` arrivals in
@@ -196,12 +223,10 @@ class AdaptiveInterestPolicy:
     """
 
     __slots__ = (
-        "_window",
         "_floor",
         "_ceiling",
         "_gain",
         "_smoothing",
-        "_arrivals",
         "_epoch_start",
         "_epoch_count",
         "_rate",
@@ -216,8 +241,7 @@ class AdaptiveInterestPolicy:
         gain: float = 0.5,
         smoothing: float = 0.5,
     ):
-        if window <= 0:
-            raise ConfigError(f"window must be positive, got {window}")
+        super().__init__(window)
         if floor < 0:
             raise ConfigError(f"floor must be >= 0, got {floor}")
         if ceiling < floor:
@@ -226,12 +250,10 @@ class AdaptiveInterestPolicy:
             raise ConfigError(f"gain must be >= 0, got {gain}")
         if not 0 < smoothing <= 1:
             raise ConfigError(f"smoothing must be in (0, 1], got {smoothing}")
-        self._window = float(window)
         self._floor = int(floor)
         self._ceiling = int(ceiling)
         self._gain = float(gain)
         self._smoothing = float(smoothing)
-        self._arrivals: deque[float] = deque()
         self._epoch_start = 0.0
         self._epoch_count = 0
         self._rate = 0.0
@@ -247,13 +269,7 @@ class AdaptiveInterestPolicy:
     def is_interested(self, now: float) -> bool:
         """More than the current threshold arrivals in ``(now - window, now]``."""
         self._advance(now)
-        self._prune(now)
-        return len(self._arrivals) > self._threshold
-
-    def count(self, now: float) -> int:
-        """Arrivals currently inside the window."""
-        self._prune(now)
-        return len(self._arrivals)
+        return self._prune(now) > self._threshold
 
     def _advance(self, now: float) -> None:
         # Close every whole epoch that ended at or before ``now``.  The
@@ -269,17 +285,6 @@ class AdaptiveInterestPolicy:
 
     def _clamp(self, raw: float) -> int:
         return max(self._floor, min(self._ceiling, int(round(raw))))
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self._window
-        arrivals = self._arrivals
-        while arrivals and arrivals[0] <= horizon:
-            arrivals.popleft()
-
-    @property
-    def window(self) -> float:
-        """The trailing interval / epoch length."""
-        return self._window
 
     @property
     def threshold(self) -> int:

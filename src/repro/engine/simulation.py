@@ -1117,7 +1117,13 @@ class Simulation:
 
     def _apply_churn(self, process: ChurnProcess) -> None:
         kind = process.next_kind()
-        members = [n for n in self.tree.nodes if self.functioning(n)]
+        # functioning(), hoisted: every tree node is a member unless the
+        # fault layer holds it silently dead.
+        if self.injector is None:
+            members = list(self.tree.nodes)
+        else:
+            is_dead = self.injector.is_dead
+            members = [n for n in self.tree.nodes if not is_dead(n)]
         non_root = [n for n in members if n != self.tree.root]
         if kind is ChurnEvent.JOIN_EDGE:
             if not non_root:

@@ -43,6 +43,7 @@ class DupBalancedScheme(DupScheme):
             redirected=self._redirected,
             alive=sim.alive,
             is_root=sim.is_root,
+            parent=sim.parent,
             send_down=self._send_sideways,
             on_reject=self._on_reject,
             note_lease=self._note_lease_activity,

@@ -31,19 +31,6 @@ def chord_hash(label: str, bits: int) -> int:
     return int.from_bytes(digest, "big") % (1 << bits)
 
 
-def _in_interval(value: int, low: int, high: int, modulus: int) -> bool:
-    """Whether ``value`` is in the circular interval ``(low, high]``."""
-    low %= modulus
-    high %= modulus
-    value %= modulus
-    if low < high:
-        return low < value <= high
-    if low > high:
-        return value > low or value <= high
-    # low == high: the interval covers the whole circle.
-    return True
-
-
 class ChordRing:
     """A static Chord identifier circle with finger tables.
 
@@ -70,6 +57,7 @@ class ChordRing:
                 f"[{ids[0]}, {ids[-1]}]"
             )
         self._ids = ids
+        self._id_set = frozenset(ids)
         self._ids_np = np.asarray(ids, dtype=np.int64)
         # Finger matrix: row i is node ids[i]'s finger table, built in one
         # vectorized searchsorted over all n*bits targets instead of
@@ -94,10 +82,6 @@ class ChordRing:
                 ],
                 dtype=object,
             )
-        # Per-node Python rows materialize lazily on first routing use:
-        # most rings route through a small working set of nodes, and the
-        # matrix alone answers bulk queries.
-        self._fingers: dict[int, list[int]] = {}
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -144,8 +128,7 @@ class ChordRing:
         return len(self._ids)
 
     def __contains__(self, node: int) -> bool:
-        index = bisect.bisect_left(self._ids, node)
-        return index < len(self._ids) and self._ids[index] == node
+        return node in self._id_set
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ids)
@@ -167,45 +150,38 @@ class ChordRing:
     def finger_table(self, node: int) -> tuple[int, ...]:
         """``node``'s finger table: entry k is successor(node + 2**k)."""
         self._require(node)
-        return tuple(self._finger_row(node))
-
-    def _finger_row(self, node: int) -> list[int]:
-        """``node``'s finger table as a cached plain-int list."""
-        row = self._fingers.get(node)
-        if row is None:
-            index = bisect.bisect_left(self._ids, node)
-            row = [int(f) for f in self._finger_np[index]]
-            self._fingers[node] = row
-        return row
+        index = bisect.bisect_left(self._ids, node)
+        return tuple(int(f) for f in self._finger_np[index])
 
     # -- routing -----------------------------------------------------------
-    def closest_preceding_finger(self, node: int, key: int) -> int:
-        """The finger of ``node`` closest to (but preceding) ``key``."""
-        self._require(node)
-        for finger in reversed(self._finger_row(node)):
-            if finger != node and _in_interval(
-                finger, node, key - 1, self._modulus
-            ):
-                return finger
-        return node
-
     def next_hop(self, node: int, key: int) -> Optional[int]:
         """Next node on the lookup route from ``node`` toward ``key``.
 
-        Returns ``None`` when ``node`` already owns ``key``.
+        Chord forwards to the closest finger preceding ``key``, or to
+        the owner when ``node`` is its predecessor.  Returns ``None``
+        when ``node`` already owns ``key``.
+
+        Finger ``k`` is ``successor(node + 2**k)``, so finger distances
+        from ``node`` never decrease in ``k``, and the closest preceding
+        finger has a closed form.  Let ``d`` be the distance from
+        ``node`` to the owner's predecessor ``p`` and ``k`` be
+        ``d.bit_length() - 1``: finger ``k`` is at most ``d`` away (``p``
+        itself is a candidate), while finger ``k + 1`` starts its search
+        past ``p`` and so reaches the owner or beyond.  A hop costs two
+        bisects and keeps no per-node finger row.
         """
         self._require(node)
-        owner = self.successor(key)
+        ids = self._ids
+        modulus = self._modulus
+        index = bisect.bisect_left(ids, key % modulus)
+        owner = ids[index] if index < len(ids) else ids[0]
         if node == owner:
             return None
-        successor = self._finger_row(node)[0]
-        if _in_interval(key, node, successor, self._modulus):
-            return successor
-        finger = self.closest_preceding_finger(node, key)
-        if finger == node:
-            # No strictly closer finger: fall through to the successor.
-            return successor
-        return finger
+        last = ids[index - 1]  # the owner's predecessor (wraps at 0)
+        if last == node:
+            return owner
+        step = 1 << (((last - node) % modulus).bit_length() - 1)
+        return self.successor(node + step)
 
     def lookup_path(self, start: int, key: int) -> list[int]:
         """The full lookup route from ``start`` to the owner of ``key``.

@@ -22,7 +22,7 @@ failure-repair (crashes healed by the Section III-C maintenance flows).
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.balance import DupBalancer
@@ -324,6 +324,7 @@ class SyncBalancedDriver(SyncDupDriver):
             redirected=self.redirected,
             alive=lambda n: n in self.tree,
             is_root=lambda n: n == self.tree.root,
+            parent=lambda n: self.tree.parent(n) if n in self.tree else None,
             send_down=self._deliver,
             on_reject=self._count_reject,
         )
@@ -460,6 +461,10 @@ class TestBalancedCapInvariant:
             assert_exact_coverage(driver)
 
     @given(history(ops=("sub", "unsub")), st.integers(1, 3))
+    # Both examples re-key a delegation onto a subject whose own tree
+    # path runs through the delegate; the mapping must not outlive it.
+    @example((21, 11433, [("sub", s) for s in (0, 21135, 1133740, 4, 70)]), 2)
+    @example((14, 28995650, [("sub", s) for s in (144, 83565462, 308)]), 1)
     @settings(max_examples=60, deadline=None)
     def test_delegations_drain_with_interest(self, scenario, cap):
         size, seed, steps = scenario

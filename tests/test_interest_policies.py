@@ -1,7 +1,9 @@
 """Unit and metamorphic tests for the interest measurement policies."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.interest_model import predicted_dup_relative_push_cost
@@ -152,6 +154,84 @@ class TestWindowMetamorphic:
             else:
                 assert base.is_interested(t) == scaled.is_interested(t * k)
         assert base.count(t) == scaled.count(t * k)
+
+
+class DequeWindow:
+    """Reference sliding window: the textbook deque that pops expiries."""
+
+    def __init__(self, window: float, threshold: int):
+        self.window = window
+        self.threshold = threshold
+        self.arrivals: deque[float] = deque()
+
+    def _prune(self, now: float) -> None:
+        while self.arrivals and self.arrivals[0] <= now - self.window:
+            self.arrivals.popleft()
+
+    def record(self, now: float) -> None:
+        self._prune(now)
+        self.arrivals.append(now)
+
+    def count(self, now: float) -> int:
+        self._prune(now)
+        return len(self.arrivals)
+
+    def is_interested(self, now: float) -> bool:
+        return self.count(now) > self.threshold
+
+
+# (op, burst, gap): a burst of ``burst`` records at one instant, or one
+# probe; gaps are mostly forward, sometimes zero or backward.
+_window_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("record", "count", "is_interested")),
+        st.integers(1, 48),
+        st.sampled_from((-1.0, 0.0, 0.25, 1.0, 3.0, 8.0, 20.0)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestWindowExactness:
+    """The list-backed window answers exactly like a deque window."""
+
+    @given(_window_ops, st.integers(0, 6))
+    @example([("record", 48, 0.0), ("count", 1, 20.0), ("record", 3, 1.0)], 2)
+    @example([("record", 40, 1.0)] * 3 + [("is_interested", 1, 8.0)] * 4, 30)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_deque_reference(self, steps, threshold):
+        policy = WindowInterestPolicy(window=10.0, threshold=threshold)
+        reference = DequeWindow(10.0, threshold)
+        t = 0.0
+        for op, burst, gap in steps:
+            t += gap
+            if op == "record":
+                for _ in range(burst):
+                    policy.record(t)
+                    reference.record(t)
+            elif op == "count":
+                assert policy.count(t) == reference.count(t)
+            else:
+                assert policy.is_interested(t) == reference.is_interested(t)
+            assert repr(policy).endswith(f"pending={len(reference.arrivals)})")
+        assert policy.count(t) == reference.count(t)
+
+    def test_compaction_keeps_live_arrivals(self):
+        policy = WindowInterestPolicy(window=10.0, threshold=0)
+        for _ in range(10):
+            policy.record(0.0)
+        for _ in range(60):
+            policy.record(5.0)
+        # 10 of 70 expire: the head advances, the list stays.
+        assert policy.count(10.0) == 60
+        for _ in range(40):
+            policy.record(12.0)
+        # 60 more expire: the head passes half the list, which compacts.
+        assert policy.count(15.0) == 40
+        assert policy.is_interested(21.9)
+        assert policy.count(22.0) == 0
+        assert not policy.is_interested(22.0)
 
 
 class TestAdaptivePolicy:

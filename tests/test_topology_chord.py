@@ -7,7 +7,41 @@ from hypothesis import strategies as st
 
 from repro.errors import NodeNotFoundError, TopologyError
 from repro.topology import ChordRing, chord_search_tree
-from repro.topology.chord import chord_hash, _in_interval
+from repro.topology.chord import chord_hash
+from repro.topology.chord_tree import LazyChordTree
+
+
+def _in_interval(value: int, low: int, high: int, modulus: int) -> bool:
+    """Whether ``value`` is in the circular interval ``(low, high]``."""
+    low %= modulus
+    high %= modulus
+    value %= modulus
+    if low < high:
+        return low < value <= high
+    if low > high:
+        return value > low or value <= high
+    # low == high: the interval covers the whole circle.
+    return True
+
+
+def reference_next_hop(ring: ChordRing, node: int, key: int):
+    """Chord's textbook next hop, scanning ``node``'s finger table.
+
+    The specification :meth:`ChordRing.next_hop` must match: forward to
+    the successor when it owns ``key``, else to the highest finger in
+    ``(node, key)``, else to the successor.
+    """
+    modulus = 1 << ring.bits
+    if node == ring.successor(key):
+        return None
+    fingers = ring.finger_table(node)
+    successor = fingers[0]
+    if _in_interval(key, node, successor, modulus):
+        return successor
+    for finger in reversed(fingers):
+        if finger != node and _in_interval(finger, node, key - 1, modulus):
+            return finger
+    return successor
 
 
 class TestIntervals:
@@ -24,6 +58,78 @@ class TestIntervals:
 
     def test_full_circle(self):
         assert _in_interval(7, 5, 5, 16)
+
+
+@st.composite
+def ring_and_keys(draw):
+    """A random ring plus keys on, below and above its identifier circle."""
+    bits = draw(st.sampled_from((3, 4, 5, 6, 8, 32)))
+    modulus = 1 << bits
+    n = draw(st.integers(1, min(modulus, 48)))
+    seed = draw(st.integers(0, 2**31))
+    ring = ChordRing.random(n, np.random.default_rng(seed), bits=bits)
+    keys = draw(
+        st.lists(st.integers(-modulus, 2 * modulus - 1), min_size=1, max_size=8)
+    )
+    return ring, keys
+
+
+class TestNextHopOracle:
+    """``ChordRing.next_hop`` equals the finger-scanning reference."""
+
+    @given(ring_and_keys())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_finger_scan(self, scenario):
+        ring, keys = scenario
+        for key in keys:
+            for node in ring:
+                assert ring.next_hop(node, key) == reference_next_hop(
+                    ring, node, key
+                ), (ring.node_ids, node, key)
+
+    @pytest.mark.parametrize("bits", [3, 4, 5, 6])
+    def test_exhaustive_small_rings(self, bits):
+        modulus = 1 << bits
+        rng = np.random.default_rng(bits)
+        for n in (1, 2, 3, modulus // 2, modulus):
+            ring = ChordRing.random(n, rng, bits=bits)
+            for key in range(-modulus, 2 * modulus):
+                for node in ring:
+                    expected = reference_next_hop(ring, node, key)
+                    assert ring.next_hop(node, key) == expected
+
+    def test_single_node_ring_owns_every_key(self):
+        ring = ChordRing([5], bits=4)
+        for key in (-20, -1, 0, 5, 15, 16, 40):
+            assert ring.next_hop(5, key) is None
+
+    def test_wrapping_key(self):
+        # Key 1 lies past the top of the circle: from 12 the route wraps
+        # through 0 to the owner 2; from 8 it first takes finger 12.
+        # Keys off the circle reduce modulo 16.
+        ring = ChordRing([2, 8, 12], bits=4)
+        for key in (1, 17, -15):
+            assert ring.next_hop(12, key) == 2
+            assert ring.next_hop(8, key) == 12
+            assert ring.lookup_path(8, key) == [8, 12, 2]
+
+    def test_unknown_node_raises(self):
+        ring = ChordRing([2, 8], bits=4)
+        with pytest.raises(NodeNotFoundError):
+            ring.next_hop(5, 0)
+        with pytest.raises(NodeNotFoundError):
+            ring.finger_table(5)
+
+    @given(st.integers(1, 80), st.integers(0, 2**31), st.integers(0, 2**24))
+    @settings(max_examples=30, deadline=None)
+    def test_lazy_tree_parents_equal_eager_edges(self, n, seed, key):
+        ring = ChordRing.random(n, np.random.default_rng(seed), bits=20)
+        eager = chord_search_tree(ring, key)
+        lazy = LazyChordTree(ring, key)
+        assert lazy.root == eager.root
+        for node in ring:
+            assert lazy.parent(node) == eager.parent(node)
+            assert lazy.depth(node) == eager.depth(node)
 
 
 class TestChordRing:
