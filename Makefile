@@ -6,7 +6,7 @@
 PYTHON ?= python
 PY = PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-scale perf-smoke profile clean
+.PHONY: test bench bench-scale perf-smoke perfbench profile clean
 
 test:
 	$(PY) -m pytest -q
@@ -22,6 +22,10 @@ bench-scale:
 
 perf-smoke:
 	$(PY) scripts/perf_smoke.py
+
+# The end-to-end benchmark's own tests: entry points and fingerprints.
+perfbench:
+	$(PY) -m pytest perfbench -q
 
 profile:
 	$(PY) -m repro.cli profile figure4 --top 20

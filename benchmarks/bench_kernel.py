@@ -20,6 +20,7 @@ from repro.engine import SimulationConfig
 from repro.engine.simulation import Simulation
 from repro.index.entry import IndexVersion
 from repro.net.message import PushMessage, QueryMessage, ReplyMessage
+from repro.net.transport import Transport
 from repro.sim.core import Environment
 from repro.stats.distributions import Deterministic
 
@@ -62,19 +63,24 @@ def _bench_transport_hops():
     remaining = [TRANSPORT_HOPS]
     # Zero latency keeps every hop inside one event cascade; the handler
     # re-sends until the budget is spent.
-    sim.transport._latency = Deterministic(0.0)
+    transport = Transport(
+        env=sim.env,
+        latency=Deterministic(0.0),
+        rng=sim.streams.get("latency"),
+        ledger=sim.ledger,
+    )
 
     def handler(destination, message):
         if remaining[0] > 0:
             remaining[0] -= 1
-            sim.transport.send(3 - destination, message)
+            transport.send(3 - destination, message)
 
-    sim.transport.bind(handler)
+    transport.bind(handler)
     version = IndexVersion(key=sim.key, version=1, issued_at=0.0, ttl=3600.0)
     push = PushMessage(key=sim.key, version=version, sender=1)
 
     def run():
-        sim.transport.send(2, push, sender=1)
+        transport.send(2, push, sender=1)
         sim.env.run(until=1.0)
 
     wall, _ = _time(run)

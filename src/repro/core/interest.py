@@ -16,8 +16,9 @@ query rate it observes (ROADMAP item 5; the ``dup-adaptive`` scheme).
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Protocol
+from typing import Callable, Protocol
 
 from repro.errors import ConfigError
 
@@ -312,3 +313,34 @@ class AdaptiveInterestPolicy(_ArrivalWindow):
             f"floor={self._floor}, ceiling={self._ceiling}, "
             f"threshold={self._threshold}, rate={self._rate:.4g})"
         )
+
+
+def interest_policy_factory(config, scheme) -> Callable[[], InterestPolicy]:
+    """A zero-argument constructor of per-node interest policies.
+
+    The kind is the scheme's ``interest_policy_override`` class
+    attribute when it has one (``dup-adaptive`` does), else
+    ``config.interest_policy``; ``config`` (a
+    :class:`~repro.engine.config.SimulationConfig`) supplies the
+    parameters.  Both engines resolve this once and call the result per
+    node.
+    """
+    kind = (
+        getattr(scheme, "interest_policy_override", None)
+        or config.interest_policy
+    )
+    if kind == "window":
+        return functools.partial(
+            WindowInterestPolicy, config.ttl, config.threshold_c
+        )
+    if kind == "adaptive":
+        return functools.partial(
+            AdaptiveInterestPolicy,
+            config.ttl,
+            config.threshold_floor,
+            config.threshold_ceiling,
+            config.adaptive_gain,
+        )
+    return functools.partial(
+        EwmaInterestPolicy, config.ttl, config.threshold_c
+    )

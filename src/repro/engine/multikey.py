@@ -23,11 +23,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.core.interest import (
-    AdaptiveInterestPolicy,
-    EwmaInterestPolicy,
-    WindowInterestPolicy,
-)
+from repro.core.interest import interest_policy_factory
 from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
 from repro.errors import ConfigError
@@ -52,65 +48,68 @@ from repro.workload.selection import ZipfNodeSelector
 NodeId = int
 
 
+#: ``dict.get`` default telling "no memoized parent" from a root's None.
+_UNKNOWN = object()
+
+
 class _KeySlice:
     """The per-key facade a scheme instance is bound to.
 
     Implements the same narrow interface as
     :class:`repro.engine.simulation.Simulation` but scoped to one key's
     tree and authority, while sharing the clock, transport, caches, and
-    metric recorders with every other key.
+    metric recorders with every other key.  Everything shared is read
+    off the owning engine once, at construction, into plain attributes:
+    schemes call this facade several times per hop.
     """
 
     #: Interface parity: the multi-key engine has no reliable channel
     #: (schemes fall back to plain transport sends).
     reliable = None
 
-    def __init__(self, owner: "MultiKeySimulation", key: int, tree):
+    def __init__(self, owner, key: int, tree):
         self._owner = owner
         self.key = key
         self.tree = tree
+        #: The key's authority node (the trees here never change root).
+        self.root = tree.root
+        #: The shared clock, transport, configuration and cost ledger.
+        self.env: Environment = owner.env
+        self.transport: Transport = owner.transport
+        self.config: SimulationConfig = owner.config
+        self.ledger: CostLedger = owner.ledger
         self.authority: Optional[Authority] = None
         self.scheme: Optional[object] = None
-
-    # -- shared state --------------------------------------------------------
-    @property
-    def env(self) -> Environment:
-        """The shared simulation clock."""
-        return self._owner.env
-
-    @property
-    def transport(self) -> Transport:
-        """The shared transport (one cost ledger for all keys)."""
-        return self._owner.transport
-
-    @property
-    def config(self) -> SimulationConfig:
-        """The run configuration."""
-        return self._owner.config
-
-    @property
-    def ledger(self) -> CostLedger:
-        """The shared cost ledger."""
-        return self._owner.ledger
+        # The owner's node -> cache dict and the tree's parent memo (all
+        # of an eager tree, the touched part of a lazy one), read in
+        # place; the ring's member set answers membership.
+        self._caches: dict[NodeId, IndexCache] = owner._caches
+        self._parents: dict[NodeId, Optional[NodeId]] = tree._parent
+        self._members: frozenset[NodeId] = owner.ring.members
+        self._new_interest_policy = None
 
     # -- per-key topology -------------------------------------------------------
     def is_root(self, node: NodeId) -> bool:
         """Whether ``node`` is this key's authority."""
-        return node == self.tree.root
+        return node == self.root
 
     def parent(self, node: NodeId) -> Optional[NodeId]:
-        """Parent on this key's search tree."""
-        if node not in self.tree:
+        """Parent on this key's search tree (``None`` at the root and
+        for nodes outside the overlay)."""
+        hop = self._parents.get(node, _UNKNOWN)
+        if hop is not _UNKNOWN:
+            return hop
+        if node not in self._members:
             return None
         return self.tree.parent(node)
 
     def alive(self, node: NodeId) -> bool:
         """Whether ``node`` is in the overlay (static here)."""
-        return node in self.tree
+        return node in self._members
 
     def functioning(self, node: NodeId) -> bool:
         """Interface parity: no fault injection here, so alive == working."""
-        return node in self.tree
+        return node in self._members
 
     def note_read(self, version: IndexVersion) -> None:
         """Interface parity: staleness tracking is single-key only."""
@@ -119,16 +118,24 @@ class _KeySlice:
         """Interface parity: no failures here, so suspicions are moot."""
 
     def cache(self, node: NodeId) -> IndexCache:
-        """The node's (shared, multi-key) cache."""
-        return self._owner.cache(node)
+        """The node's (shared, multi-key) cache, created by the owner."""
+        cache = self._caches.get(node)
+        if cache is None:
+            cache = self._owner.cache(node)
+        return cache
 
     def lookup(self, node: NodeId) -> Optional[IndexVersion]:
         """A valid copy of this key's index at ``node``."""
-        if node == self.tree.root:
-            if self.authority is None:
-                return None
-            return self.authority.current
-        return self.cache(node).get(self.key, self.env.now)
+        if node == self.root:
+            authority = self.authority
+            return None if authority is None else authority.current
+        # Inlined self.cache(node): a lookup creates the cache exactly
+        # as a store would, so per-node stats do not depend on which
+        # call came first.
+        cache = self._caches.get(node)
+        if cache is None:
+            cache = self._owner.cache(node)
+        return cache.get(self.key, self.env._now)
 
     def record_latency(
         self,
@@ -161,23 +168,14 @@ class _KeySlice:
 
         Mirrors :meth:`Simulation.make_interest_policy`, including the
         scheme-level ``interest_policy_override`` consult (the scheme
-        back-reference is set when the slice is wired up).
+        back-reference is set before the scheme is bound, and the
+        factory is resolved on the first call).
         """
-        config = self.config
-        kind = (
-            getattr(self.scheme, "interest_policy_override", None)
-            or config.interest_policy
-        )
-        if kind == "window":
-            return WindowInterestPolicy(config.ttl, config.threshold_c)
-        if kind == "adaptive":
-            return AdaptiveInterestPolicy(
-                config.ttl,
-                config.threshold_floor,
-                config.threshold_ceiling,
-                config.adaptive_gain,
-            )
-        return EwmaInterestPolicy(config.ttl, config.threshold_c)
+        factory = self._new_interest_policy
+        if factory is None:
+            factory = interest_policy_factory(self.config, self.scheme)
+            self._new_interest_policy = factory
+        return factory()
 
     def forget_node(self, node: NodeId) -> None:  # pragma: no cover - no churn
         """Interface parity with the single-key engine."""
@@ -393,9 +391,9 @@ class _SweptCache(IndexCache):
     def put(self, version: IndexVersion, now: float) -> bool:
         changed = super().put(version, now)
         if changed:
-            copy = self.peek(version.key)
-            if copy is not None:
-                self._wheel.push(copy.expires_at, self._node)
+            # A store or a refresh leaves a copy filed under the key.
+            copy = self._entries[version.key]
+            self._wheel.push(copy.stored_at + copy.version.ttl, self._node)
         return changed
 
 
@@ -702,7 +700,7 @@ def _start_query_records(sim, next_gap, keys, origins) -> None:
     def tick() -> None:
         key = next_key()
         node = next_origin()
-        if node == slices[key].tree.root:
+        if node == slices[key].root:
             record_latency(key, 0, env._now)
         else:
             schemes[key].on_local_query(node)

@@ -28,11 +28,7 @@ import time
 from typing import Optional
 
 from repro import flightrec
-from repro.core.interest import (
-    AdaptiveInterestPolicy,
-    EwmaInterestPolicy,
-    WindowInterestPolicy,
-)
+from repro.core.interest import interest_policy_factory
 from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
 from repro.errors import ConfigError
@@ -195,6 +191,8 @@ class Simulation:
         self.selector = ZipfNodeSelector(
             eligible, config.zipf_theta, self.streams.get("placement")
         )
+        # Resolved by the first make_interest_policy call.
+        self._new_interest_policy = None
         self.scheme = make_scheme(config.scheme)
         self.scheme.bind(self)
         self.authority: Optional[Authority] = None
@@ -739,21 +737,11 @@ class Simulation:
         A scheme may force a policy kind via an ``interest_policy_override``
         class attribute (``dup-adaptive`` does) regardless of the config.
         """
-        config = self.config
-        kind = (
-            getattr(self.scheme, "interest_policy_override", None)
-            or config.interest_policy
-        )
-        if kind == "window":
-            return WindowInterestPolicy(config.ttl, config.threshold_c)
-        if kind == "adaptive":
-            return AdaptiveInterestPolicy(
-                config.ttl,
-                config.threshold_floor,
-                config.threshold_ceiling,
-                config.adaptive_gain,
-            )
-        return EwmaInterestPolicy(config.ttl, config.threshold_c)
+        factory = self._new_interest_policy
+        if factory is None:
+            factory = interest_policy_factory(self.config, self.scheme)
+            self._new_interest_policy = factory
+        return factory()
 
     def allocate_node_id(self) -> NodeId:
         """A fresh node id for a joining node."""

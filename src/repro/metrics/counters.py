@@ -39,8 +39,12 @@ class CostLedger:
         self._clock = clock
         self._warmup = float(warmup)
         self._count_keepalive = count_keepalive
-        self._hops: dict[Category, int] = {cat: 0 for cat in Category}
-        self._warmup_hops: dict[Category, int] = {cat: 0 for cat in Category}
+        # Keyed by ``Category._value_`` (a plain str): Enum.__hash__ is
+        # Python-level code, and ``charge`` runs once per transport hop.
+        self._hops: dict[str, int] = {cat._value_: 0 for cat in Category}
+        self._warmup_hops: dict[str, int] = {
+            cat._value_: 0 for cat in Category
+        }
         # Latched once the clock passes the warm-up: simulation time only
         # moves forward, so later charges skip the clock call entirely.
         self._warm = self._warmup <= 0.0
@@ -50,34 +54,34 @@ class CostLedger:
         if hops < 0:
             raise ValueError(f"hops must be non-negative, got {hops}")
         if self._warm:
-            self._hops[category] += hops
+            self._hops[category._value_] += hops
         elif self._clock() < self._warmup:
-            self._warmup_hops[category] += hops
+            self._warmup_hops[category._value_] += hops
         else:
             self._warm = True
-            self._hops[category] += hops
+            self._hops[category._value_] += hops
 
     def hops(self, category: Category) -> int:
         """Post-warm-up hops charged to ``category``."""
-        return self._hops[category]
+        return self._hops[category.value]
 
     def warmup_hops(self, category: Category) -> int:
         """Hops charged during warm-up (excluded from cost)."""
-        return self._warmup_hops[category]
+        return self._warmup_hops[category.value]
 
     @property
     def total_hops(self) -> int:
         """Total post-warm-up hops that count toward query cost."""
         total = 0
-        for category, hops in self._hops.items():
-            if category is Category.KEEPALIVE and not self._count_keepalive:
+        for name, hops in self._hops.items():
+            if name == Category.KEEPALIVE.value and not self._count_keepalive:
                 continue
             total += hops
         return total
 
     def breakdown(self) -> Mapping[str, int]:
         """Post-warm-up hops by category name (for reports)."""
-        return {cat.value: hops for cat, hops in self._hops.items()}
+        return dict(self._hops)
 
     def cost_per_query(self, queries: int) -> float:
         """The paper's average query cost: total hops / queries."""
@@ -87,6 +91,6 @@ class CostLedger:
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            f"{cat.value}={hops}" for cat, hops in self._hops.items() if hops
+            f"{name}={hops}" for name, hops in self._hops.items() if hops
         )
         return f"CostLedger({parts or 'empty'})"

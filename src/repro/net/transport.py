@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.net.message import Message, QueryMessage
 from repro.sim.core import Environment
-from repro.stats.distributions import Distribution
+from repro.stats.distributions import Distribution, block_draws
 
 NodeId = int
 DeliveryHandler = Callable[[NodeId, Message], None]
@@ -101,6 +101,10 @@ class Transport:
         Per-hop latency distribution.
     rng:
         Random stream used to draw latencies (the ``"latency"`` stream).
+        The transport is its only consumer, so latencies are drawn
+        :data:`~repro.stats.distributions.BLOCK` at a time
+        (:func:`~repro.stats.distributions.block_draws`): every hop
+        still takes the next value of the stream, in send order.
     ledger:
         The :class:`repro.metrics.counters.CostLedger` charged per hop.
     handler:
@@ -122,7 +126,7 @@ class Transport:
     ):
         self._env = env
         self._latency = latency
-        self._rng = rng
+        self._next_delay = block_draws(latency.sample_many, rng).__next__
         self._ledger = ledger
         self._handler = handler
         self._injector = injector
@@ -208,15 +212,12 @@ class Transport:
         if injector is None and not self._observers:
             # Fast branch: no injector and no observers attached — the
             # hop is charge + latency draw + delayed delivery, nothing
-            # else.  The RNG draw happens at the same point as in the
-            # instrumented path, so streams stay bit-identical.  defer()
-            # skips the Timeout machinery in batched environments and
-            # degrades to call_later everywhere else.
+            # else.  Both branches take the next latency of the one
+            # stream, so streams stay bit-identical.  defer() skips the
+            # Timeout machinery in batched environments and degrades to
+            # call_later everywhere else.
             self._env.defer(
-                self._latency.sample(self._rng),
-                self._deliver,
-                destination,
-                message,
+                self._next_delay(), self._deliver, destination, message
             )
             return
         if self._observers or injector is not None:
@@ -262,7 +263,7 @@ class Transport:
                     destination,
                     message,
                 )
-        delay = self._latency.sample(self._rng)
+        delay = self._next_delay()
         if injector is not None:
             delay += injector.extra_delay()
         self._env.call_later(delay, self._deliver, destination, message)

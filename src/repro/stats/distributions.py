@@ -57,6 +57,10 @@ class Distribution(Protocol):
         """Draw one variate."""
         ...
 
+    def sample_many(self, rng: np.random.Generator, count: int) -> list:
+        """``count`` successive :meth:`sample` draws, as Python floats."""
+        ...
+
     @property
     def mean(self) -> float:
         """Theoretical mean of the distribution."""
@@ -76,6 +80,10 @@ class Deterministic:
     def sample(self, rng: np.random.Generator) -> float:
         """Return the fixed value (``rng`` unused, kept for the protocol)."""
         return self._value
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> list[float]:
+        """``count`` copies of the value (``rng`` unused)."""
+        return [self._value] * count
 
     @property
     def mean(self) -> float:
@@ -100,6 +108,10 @@ class Uniform:
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one uniform variate."""
         return float(rng.uniform(self._low, self._high))
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> list[float]:
+        """``count`` successive :meth:`sample` draws, as Python floats."""
+        return rng.uniform(self._low, self._high, count).tolist()
 
     @property
     def mean(self) -> float:
@@ -253,6 +265,10 @@ class LogNormal:
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one log-normal variate."""
         return float(rng.lognormal(self._mu, self._sigma))
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> list[float]:
+        """``count`` successive :meth:`sample` draws, as Python floats."""
+        return rng.lognormal(self._mu, self._sigma, count).tolist()
 
     @property
     def mean(self) -> float:

@@ -127,6 +127,11 @@ class ChordRing:
     def __len__(self) -> int:
         return len(self._ids)
 
+    @property
+    def members(self) -> frozenset[int]:
+        """All node identifiers, as a set (membership tests)."""
+        return self._id_set
+
     def __contains__(self, node: int) -> bool:
         return node in self._id_set
 
@@ -170,7 +175,8 @@ class ChordRing:
         past ``p`` and so reaches the owner or beyond.  A hop costs two
         bisects and keeps no per-node finger row.
         """
-        self._require(node)
+        if node not in self._id_set:
+            raise NodeNotFoundError(f"node {node} not on the ring")
         ids = self._ids
         modulus = self._modulus
         index = bisect.bisect_left(ids, key % modulus)

@@ -19,6 +19,9 @@ from repro.errors import TopologyError
 from repro.topology.chord import ChordRing
 from repro.topology.tree import SearchTree
 
+#: ``dict.get`` default telling "not memoized yet" from the root's None.
+_UNKNOWN = object()
+
 
 def chord_search_tree(ring: ChordRing, key: int) -> SearchTree:
     """Build the index search tree for ``key`` over a Chord ring.
@@ -103,14 +106,15 @@ class LazyChordTree:
         return len(self._ring)
 
     def parent(self, node: int) -> Optional[int]:
-        """Next hop toward the authority (``None`` at the root)."""
-        memo = self._parent
-        try:
-            return memo[node]
-        except KeyError:
-            pass
-        hop = self._ring.next_hop(node, self._key)
-        memo[node] = hop
+        """Next hop toward the authority (``None`` at the root).
+
+        Raises :class:`~repro.errors.NodeNotFoundError` for a node off
+        the ring (the routing step checks membership once).
+        """
+        hop = self._parent.get(node, _UNKNOWN)
+        if hop is _UNKNOWN:
+            hop = self._ring.next_hop(node, self._key)
+            self._parent[node] = hop
         return hop
 
     def depth(self, node: int) -> int:

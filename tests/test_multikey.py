@@ -1,10 +1,18 @@
 """Tests of the multi-key simulation engine."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.interest import (
+    AdaptiveInterestPolicy,
+    EwmaInterestPolicy,
+    WindowInterestPolicy,
+)
 from repro.engine import SimulationConfig
-from repro.engine.multikey import MultiKeySimulation
+from repro.engine.multikey import MultiKeySimulation, _KeySlice
 from repro.errors import ConfigError
+from repro.index.entry import IndexVersion
 from repro.workload import ChurnConfig
 
 
@@ -209,3 +217,189 @@ class TestScaleProgressLabels:
         for index, line in enumerate(lines):
             assert f"'shard_index': {index}," in line
             assert " rep=0 " in line
+
+
+def _scale_shard(**overrides):
+    from repro.engine.multikey import MultiKeyScaleSimulation
+
+    defaults = dict(
+        scheme="dup",
+        topology="chord",
+        num_nodes=160,
+        query_rate=6.0,
+        duration=3600.0 * 2,
+        warmup=1800.0,
+        seed=8,
+        keep_latency_samples=False,
+    )
+    defaults.update(overrides)
+    return MultiKeyScaleSimulation(
+        SimulationConfig(**defaults), num_keys=12, shard_index=0, shard_count=2
+    )
+
+
+class TestFlatKeySlice:
+    """The facade reads shared state in place and matches the owner."""
+
+    def test_parent_memo_hit_miss_root_and_non_member(self):
+        sim = _scale_shard()
+        slice_ = next(iter(sim.slices.values()))
+        tree = slice_.tree
+        assert slice_.parent(slice_.root) is None
+        node = next(
+            node for node in sim.ring.node_ids if node != slice_.root
+        )
+        touched = tree.touched
+        expected = sim.ring.next_hop(node, tree.key)
+        assert slice_.parent(node) == expected  # memo miss
+        assert tree.touched == touched + 1
+        assert slice_.parent(node) == expected  # memo hit
+        assert tree.touched == touched + 1
+        outsider = max(sim.ring.node_ids) + 1
+        assert outsider not in sim.ring
+        assert slice_.parent(outsider) is None
+        assert not slice_.alive(outsider)
+        assert not slice_.functioning(outsider)
+        assert tree.touched == touched + 1
+        assert all(slice_.alive(node) for node in sim.ring.node_ids)
+
+    def test_parent_on_an_eager_tree(self):
+        sim = MultiKeySimulation(multikey_config(), num_keys=2)
+        for slice_ in sim.slices.values():
+            for node in sim.ring.node_ids:
+                assert slice_.parent(node) == slice_.tree.parent(node)
+            assert slice_.parent(slice_.root) is None
+            assert slice_.parent(max(sim.ring.node_ids) + 1) is None
+
+    def test_shared_state_is_the_owners(self):
+        sim = _scale_shard()
+        for slice_ in sim.slices.values():
+            assert slice_.env is sim.env
+            assert slice_.transport is sim.transport
+            assert slice_.config is sim.config
+            assert slice_.ledger is sim.ledger
+            assert slice_.root == slice_.tree.root
+
+    def test_lookup_creates_the_owners_cache(self):
+        from repro.engine.multikey import _SweptCache
+
+        sim = _scale_shard()
+        slice_ = next(iter(sim.slices.values()))
+        node = next(
+            node for node in sim.ring.node_ids if node != slice_.root
+        )
+        assert slice_.lookup(slice_.root) is None  # authority not started
+        assert slice_.lookup(node) is None
+        cache = sim._caches[node]
+        assert isinstance(cache, _SweptCache)
+        assert slice_.cache(node) is cache is sim.cache(node)
+        version = IndexVersion(
+            key=slice_.key, version=1, issued_at=0.0, ttl=60.0
+        )
+        cache.put(version, 0.0)
+        assert slice_.lookup(node) is version
+        assert (cache.stats.lookups, cache.stats.hits) == (2, 1)
+        assert len(sim.wheel) == 1  # the store filed one expiry hint
+        assert slice_.root not in sim._caches
+
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_run_matches_the_reference_facade(self, sharded, monkeypatch):
+        """Per-node cache stats and results equal those of a facade that
+        resolves everything through its owner, as it once did."""
+
+        def build():
+            if sharded:
+                return _scale_shard()
+            return MultiKeySimulation(multikey_config(), num_keys=4)
+
+        def observe(sim):
+            result = sim.run()
+            stats = {
+                node: dataclasses.asdict(cache.stats)
+                for node, cache in sim._caches.items()
+            }
+            return stats, (
+                result.queries,
+                result.mean_latency,
+                result.cost_per_query,
+                result.hop_breakdown,
+                result.extras["queries_per_key"],
+            )
+
+        flat = observe(build())
+        with monkeypatch.context() as patch:
+            for name, method in _REFERENCE_FACADE.items():
+                patch.setattr(_KeySlice, name, method)
+            reference = observe(build())
+        assert flat == reference
+
+
+def _reference_parent(self, node):
+    if node not in self.tree:
+        return None
+    return self.tree.parent(node)
+
+
+def _reference_cache(self, node):
+    return self._owner.cache(node)
+
+
+def _reference_lookup(self, node):
+    if node == self.tree.root:
+        if self.authority is None:
+            return None
+        return self.authority.current
+    return self.cache(node).get(self.key, self.env.now)
+
+
+def _reference_alive(self, node):
+    return node in self.tree
+
+
+#: The facade methods as they read before the flattening.
+_REFERENCE_FACADE = {
+    "parent": _reference_parent,
+    "cache": _reference_cache,
+    "lookup": _reference_lookup,
+    "alive": _reference_alive,
+    "functioning": _reference_alive,
+}
+
+
+class TestInterestPolicyFactory:
+    """One factory serves both engines, honouring scheme overrides."""
+
+    def test_multikey_dup_adaptive_builds_adaptive_trackers(self):
+        sim = MultiKeySimulation(
+            multikey_config(scheme="dup-adaptive"), num_keys=3
+        )
+        sim.run()
+        trackers = [
+            tracker
+            for scheme in sim.schemes.values()
+            for tracker in scheme._trackers.values()
+        ]
+        assert trackers
+        assert all(
+            isinstance(tracker, AdaptiveInterestPolicy) for tracker in trackers
+        )
+
+    @pytest.mark.parametrize(
+        "scheme, policy, expected",
+        [
+            ("dup", "window", WindowInterestPolicy),
+            ("dup", "ewma", EwmaInterestPolicy),
+            ("dup", "adaptive", AdaptiveInterestPolicy),
+            ("dup-adaptive", "window", AdaptiveInterestPolicy),
+        ],
+    )
+    def test_both_engines_build_the_same_policy(self, scheme, policy, expected):
+        from repro.engine.simulation import Simulation
+
+        config = multikey_config(scheme=scheme, interest_policy=policy)
+        single = Simulation(config).make_interest_policy()
+        multi = next(
+            iter(MultiKeySimulation(config, num_keys=1).slices.values())
+        ).make_interest_policy()
+        assert type(single) is type(multi) is expected
+        assert repr(single) == repr(multi)

@@ -103,6 +103,42 @@ class TestCostLedger:
         with pytest.raises(ValueError):
             CostLedger(clock=FakeClock()).charge(Category.QUERY, -1)
 
+    def test_negative_hops_rejected_after_warmup(self):
+        ledger = CostLedger(clock=FakeClock(50.0), warmup=10.0)
+        ledger.charge(Category.PUSH, 2)
+        with pytest.raises(ValueError):
+            ledger.charge(Category.PUSH, -1)
+        assert ledger.hops(Category.PUSH) == 2
+
+    def test_breakdown_order_values_and_warmup_split(self):
+        clock = FakeClock(0.0)
+        ledger = CostLedger(clock=clock, warmup=10.0)
+        for hops, category in enumerate(reversed(list(Category)), start=1):
+            ledger.charge(category, hops)
+        clock.now = 10.0
+        for hops, category in enumerate(Category, start=1):
+            ledger.charge(category, 10 * hops)
+        clock.now = 5.0  # the warm-up latch never re-opens
+        ledger.charge(Category.QUERY, 100)
+        assert list(ledger.breakdown()) == [
+            "query", "reply", "push", "control", "keepalive"
+        ]
+        assert ledger.breakdown() == {
+            "query": 110, "reply": 20, "push": 30, "control": 40,
+            "keepalive": 50,
+        }
+        assert [ledger.warmup_hops(category) for category in Category] == [
+            5, 4, 3, 2, 1
+        ]
+        assert [ledger.hops(category) for category in Category] == [
+            110, 20, 30, 40, 50
+        ]
+        assert ledger.total_hops == 200
+        assert repr(ledger) == (
+            "CostLedger(query=110, reply=20, push=30, control=40, "
+            "keepalive=50)"
+        )
+
 
 class TestLatencyRecorder:
     def test_records_and_averages(self):
@@ -205,6 +241,96 @@ class TestTransport:
         assert transport.dropped == 0
         transport.drop()
         assert transport.dropped == 1
+
+
+class TestBlockDrawnLatency:
+    """Block-drawn link latencies equal successive scalar draws.
+
+    The block is shrunk so every test crosses several refills.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_block(self, monkeypatch):
+        from repro.stats import distributions
+
+        monkeypatch.setattr(distributions, "BLOCK", 7)
+
+    def test_fast_branch_hops_take_successive_samples(self):
+        env = Environment()
+        law = Exponential(0.1)
+        transport = Transport(
+            env, law, np.random.default_rng(3), CostLedger(lambda: env.now)
+        )
+        hops = 40
+        times = []
+
+        def relay(destination, message):
+            times.append(env.now)
+            if len(times) < hops:
+                transport.send(3 - destination, message)
+
+        transport.bind(relay)
+        transport.send(1, PushMessage(key=1, version=None, sender=2))
+        env.run()
+        scalar = np.random.default_rng(3)
+        expected = []
+        now = 0.0
+        for _ in range(hops):
+            now = now + law.sample(scalar)
+            expected.append(now)
+        assert times == expected
+
+    def test_injector_branch_skips_lost_sends_and_draws_duplicates_apart(
+        self,
+    ):
+        from repro.net.faults import FaultInjector, FaultPlan
+        from repro.sim.rng import RandomStreams
+
+        env = Environment()
+        law = Exponential(0.1)
+        plan = FaultPlan(loss_rate=0.3, duplicate_rate=0.4)
+        transport = Transport(
+            env,
+            law,
+            np.random.default_rng(9),
+            CostLedger(lambda: env.now),
+            injector=FaultInjector(plan, RandomStreams(5), lambda: env.now),
+        )
+        delivered = []
+        transport.bind(
+            lambda destination, message: delivered.append(
+                (message.sequence, env.now)
+            )
+        )
+        pushes = [PushMessage(key=1, version=None, sender=2) for _ in range(40)]
+        for push in pushes:
+            transport.send(1, push)
+        env.run()
+
+        # The same decisions from fresh scalar streams: a lost send takes
+        # no latency, a duplicate's delay comes from the injector's
+        # delay stream, and every delivered send takes the next latency.
+        streams = RandomStreams(5)
+        loss = streams.get("faults-loss")
+        duplicate = streams.get("faults-duplicate")
+        duplicate_delay = streams.get("faults-delay")
+        latency = np.random.default_rng(9)
+        expected = []
+        lost = duplicated = 0
+        for push in pushes:
+            if loss.random() < plan.loss_rate:
+                lost += 1
+                continue
+            if duplicate.random() < plan.duplicate_rate:
+                duplicated += 1
+                expected.append(
+                    (push.sequence, law.sample(duplicate_delay) + 0.0)
+                )
+            expected.append((push.sequence, law.sample(latency)))
+        assert lost and duplicated
+        assert len(expected) - duplicated > 2 * 7  # several refills
+        assert sorted(delivered) == sorted(expected)
+        assert transport.dropped == lost
 
 
 class TestVersionedDelivery:

@@ -377,3 +377,22 @@ class TestBlockDraws:
         assert {draws[2], draws[30]} == {law.lo}
         assert {draws[9], draws[13]} == {law.hi - 1}
         assert all(type(rank) is int for rank in draws)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Exponential(0.1),
+            Deterministic(0.25),
+            Uniform(0.05, 0.3),
+            LogNormal.from_mean(0.1),
+        ],
+        ids=repr,
+    )
+    def test_latency_laws_equal_scalar_samples(self, law):
+        from repro.stats.distributions import block_draws
+
+        blocked = block_draws(law.sample_many, rng(16))
+        scalar = rng(16)
+        draws = [next(blocked) for _ in range(self.DRAWS)]
+        assert draws == [law.sample(scalar) for _ in range(self.DRAWS)]
+        assert all(type(value) is float for value in draws)
